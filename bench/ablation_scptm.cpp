@@ -21,16 +21,17 @@ int main(int argc, char** argv) {
     bench::print_scenario_line(spec);
     std::printf("(uptime per device over one campaign horizon)\n");
 
-    const core::ComparisonOutcome outcome =
-        scenario::run_scenario(spec).comparison();
+    const scenario::ScenarioResult result = scenario::run_scenario(spec);
+    const core::MechanismStats& unicast = result.unicast_stats();
 
     stats::Table table({"mechanism", "light-sleep (s/device)", "connected (s/device)",
                         "vs unicast light-sleep", "transmissions"});
     table.add_row({"Unicast",
-                   stats::Table::cell(outcome.unicast.mean_light_sleep_seconds.mean(), 2),
-                   stats::Table::cell(outcome.unicast.mean_connected_seconds.mean(), 2),
-                   "-", stats::Table::cell(outcome.unicast.transmissions.mean(), 0)});
-    for (const auto& s : outcome.mechanisms) {
+                   stats::Table::cell(unicast.mean_light_sleep_seconds.mean(), 2),
+                   stats::Table::cell(unicast.mean_connected_seconds.mean(), 2),
+                   "-", stats::Table::cell(unicast.transmissions.mean(), 0)});
+    for (std::size_t m = 0; m < result.mechanism_count(); ++m) {
+        const core::MechanismStats& s = result.mechanism_stats(m);
         table.add_row({std::string{core::to_string(s.kind)},
                        stats::Table::cell(s.mean_light_sleep_seconds.mean(), 2),
                        stats::Table::cell(s.mean_connected_seconds.mean(), 2),

@@ -38,14 +38,14 @@ int main(int argc, char** argv) {
         scenario::ScenarioSpec point = base;
         point.with_inactivity_timer_ms(ti_ms);
 
-        const core::ComparisonOutcome outcome =
-            scenario::run_scenario(point).comparison();
+        const scenario::ScenarioResult result = scenario::run_scenario(point);
         double drsc_tx = 0.0;
         double drsc_conn = 0.0;
         double dasc_conn = 0.0;
         double drsi_conn = 0.0;
         double dasc_light = 0.0;
-        for (const auto& s : outcome.mechanisms) {
+        for (std::size_t m = 0; m < result.mechanism_count(); ++m) {
+            const core::MechanismStats& s = result.mechanism_stats(m);
             switch (s.kind) {
                 case core::MechanismKind::dr_sc:
                     drsc_tx = s.transmissions_per_device.mean();

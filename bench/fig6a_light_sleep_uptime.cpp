@@ -28,17 +28,17 @@ int main(int argc, char** argv) {
     bench::print_scenario_line(spec);
 
     const scenario::ScenarioResult result = scenario::run_scenario(spec);
-    const core::ComparisonOutcome& outcome = result.comparison();
-    const double base_light = outcome.unicast.mean_light_sleep_seconds.mean();
-    const double base_total =
-        base_light + outcome.unicast.mean_connected_seconds.mean();
+    const core::MechanismStats& unicast = result.unicast_stats();
+    const double base_light = unicast.mean_light_sleep_seconds.mean();
+    const double base_total = base_light + unicast.mean_connected_seconds.mean();
 
     stats::Table table({"mechanism", "light-sleep uptime (s/device)",
                         "increase vs unicast", "ci95",
                         "as % of total unicast uptime", "paper shape"});
     table.add_row({"Unicast", stats::Table::cell(base_light, 2), "-", "-", "-",
                    "reference"});
-    for (const auto& s : outcome.mechanisms) {
+    for (std::size_t m = 0; m < result.mechanism_count(); ++m) {
+        const core::MechanismStats& s = result.mechanism_stats(m);
         // Light-sleep delta expressed against the unicast *total* uptime
         // (light sleep + connected), the conclusions' framing.
         const double light_vs_total =

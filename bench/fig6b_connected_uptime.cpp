@@ -48,13 +48,13 @@ int main(int argc, char** argv) {
         scenario::ScenarioSpec point = base;
         point.with_payload_bytes(payload.bytes);
 
-        const core::ComparisonOutcome outcome =
-            scenario::run_scenario(point).comparison();
+        const scenario::ScenarioResult result = scenario::run_scenario(point);
         table.add_row({payload.name, "Unicast",
                        stats::Table::cell(
-                           outcome.unicast.mean_connected_seconds.mean(), 2),
+                           result.unicast_stats().mean_connected_seconds.mean(), 2),
                        "-", "-", "reference"});
-        for (const auto& s : outcome.mechanisms) {
+        for (std::size_t m = 0; m < result.mechanism_count(); ++m) {
+            const core::MechanismStats& s = result.mechanism_stats(m);
             const char* expected =
                 s.kind == core::MechanismKind::da_sc
                     ? "longest"

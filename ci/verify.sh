@@ -22,6 +22,10 @@
 #   tsan    — NBMG_SANITIZE=thread, same test set; the stress suite runs
 #             the citywide presets at --threads 8 specifically to put
 #             the worker pool under TSan.
+#   perfbench — the campaign benchmark harness (perfbench/): its Python
+#             unit tests, then one short traced rach_storm run, which
+#             builds perfbench/campaign_bench.cpp against the library and
+#             must report "correct": true on its last line.
 #
 #   $ ci/verify.sh                 # all legs
 #   $ ci/verify.sh Release         # just one
@@ -33,7 +37,7 @@ cd "$(dirname "$0")/.."
 jobs="$(nproc 2>/dev/null || echo 2)"
 legs=("${@:-Debug}")
 if [[ $# -eq 0 ]]; then
-  legs=(analyze Debug Release asan tsan)
+  legs=(analyze Debug Release asan tsan perfbench)
 fi
 
 run_scenario_smokes() {
@@ -130,6 +134,19 @@ run_checkpoint_smoke() {
   cmp "${ckpt_dir}/full.timeline.json" "${ckpt_dir}/resumed.timeline.json"
 }
 
+run_perfbench_leg() {
+  echo "=== perfbench: harness unit tests + traced rach_storm smoke ==="
+  python3 -m unittest discover -s perfbench -p 'test_*.py'
+  local last
+  last="$(python3 perfbench/run.py --workload rach_storm --seed 1 \
+            --seconds 1 --trace 1 | tail -n 1)"
+  echo "${last}"
+  if ! python3 -c 'import json, sys; sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' "${last}"; then
+    echo "error: perfbench rach_storm run did not report \"correct\": true" >&2
+    exit 1
+  fi
+}
+
 run_sanitizer_leg() {
   local mode="$1" build_dir="$2"
   echo "=== sanitize(${mode}) -> ${build_dir} ==="
@@ -165,10 +182,14 @@ for leg in "${legs[@]}"; do
       run_sanitizer_leg "thread" build-tsan
       continue
       ;;
+    perfbench)
+      run_perfbench_leg
+      continue
+      ;;
     Debug|Release)
       ;;
     *)
-      echo "error: unknown leg '${leg}' (expected analyze, Debug, Release, asan, tsan)" >&2
+      echo "error: unknown leg '${leg}' (expected analyze, Debug, Release, asan, tsan, perfbench)" >&2
       exit 2
       ;;
   esac

@@ -61,12 +61,12 @@ int main(int argc, char** argv) {
             scenario::ScenarioSpec point = base;
             point.with_payload_bytes(payload.bytes).with_inactivity_timer_ms(ti);
 
-            const core::ComparisonOutcome outcome =
-                scenario::run_scenario(point).comparison();
+            const scenario::ScenarioResult result = scenario::run_scenario(point);
             Scorecard dr_sc;
             Scorecard da_sc;
             Scorecard dr_si;
-            for (const auto& s : outcome.mechanisms) {
+            for (std::size_t m = 0; m < result.mechanism_count(); ++m) {
+                const core::MechanismStats& s = result.mechanism_stats(m);
                 Scorecard card;
                 card.bandwidth_tx_per_device = s.transmissions_per_device.mean();
                 card.connected_increase = s.connected_increase.mean();

@@ -1,8 +1,8 @@
 // The canonical thin shell over the unified scenario API: resolve a spec
 // (--preset NAME / --scenario FILE / flag overrides), run it through
 // run_scenario — single-cell or multicell, decided by the spec — and print
-// the common report surface both engines share, as a markdown table or as
-// CSV.  Everything the figure shells do beyond this is presentation.
+// the common report surface every scenario shares, as a markdown table or
+// as CSV.  Everything the figure shells do beyond this is presentation.
 //
 //   $ ./run_scenario --preset fig6a --runs 5
 //   $ ./run_scenario --scenario examples/scenarios/citywide_16cells.scenario

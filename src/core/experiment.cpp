@@ -4,9 +4,6 @@
 
 #include "core/planners.hpp"
 #include "core/sweep.hpp"
-#include "snapshot/checkpoint.hpp"
-#include "snapshot/codec.hpp"
-#include "telemetry/collector.hpp"
 
 namespace nbmg::core {
 
@@ -24,175 +21,6 @@ void MechanismStats::merge(const MechanismStats& other) noexcept {
     redelivery_bytes.merge(other.redelivery_bytes);
     stranded_devices.merge(other.stranded_devices);
 }
-
-namespace {
-
-/// One run's contribution: single-sample summaries, merged in run order by
-/// the caller.
-struct RunContribution {
-    MechanismStats unicast;
-    std::vector<MechanismStats> mechanisms;
-    /// Simulated time this run covered; drives the checkpoint write
-    /// throttle, never serialized and never reduced.
-    std::int64_t horizon_ms = 0;
-};
-
-RunContribution comparison_run(const ComparisonSetup& setup, std::size_t run) {
-    RunContribution contrib;
-    contrib.unicast.kind = MechanismKind::unicast;
-    contrib.mechanisms.resize(setup.mechanisms.size());
-
-    const sim::RngFactory rng_factory(setup.base_seed);
-    const UnicastBaseline unicast;
-    // The worker pool either fans runs (outer sweep) or, when there is
-    // only one run, this run's strata — never both at once, so the
-    // thread budget is not oversubscribed.
-    const std::size_t strata_threads = setup.runs == 1 ? setup.threads : 1;
-
-    // Telemetry: each campaign gets a config copy pointing at its own
-    // pre-allocated collector slot (0 = unicast reference, m+1 = the m-th
-    // mechanism), so concurrent runs write disjoint sinks.  The pointer is
-    // the only field that differs; plans and results are bit-identical
-    // with or without a collector.
-    const auto campaign_config = [&](std::size_t campaign_slot) {
-        CampaignConfig config = setup.config;
-        if (setup.telemetry != nullptr) {
-            config.telemetry = setup.telemetry->sink(run, 0, campaign_slot);
-        }
-        return config;
-    };
-
-    // A shared population set (same stream derivation, precomputed once)
-    // skips the per-run generation cost; results are bit-identical.
-    std::vector<nbiot::UeSpec> generated;
-    if (!setup.populations) {
-        sim::RandomStream pop_rng = rng_factory.stream("population", run);
-        generated = traffic::to_specs(
-            traffic::generate_population(setup.profile, setup.device_count, pop_rng));
-    }
-    const std::span<const nbiot::UeSpec> specs =
-        setup.populations
-            ? std::span<const nbiot::UeSpec>(setup.populations->runs[run])
-            : std::span<const nbiot::UeSpec>(generated);
-    const nbiot::SimTime horizon =
-        recommended_horizon(specs, setup.config, setup.payload_bytes);
-    contrib.horizon_ms = horizon.count();
-    const std::uint64_t run_seed = sim::derive_seed(setup.base_seed, "run", run);
-
-    sim::RandomStream unicast_rng = rng_factory.stream("plan-unicast", run);
-    const CampaignConfig unicast_config = campaign_config(0);
-    const MulticastPlan unicast_plan = unicast.plan(specs, unicast_config, unicast_rng);
-    const CampaignResult reference =
-        CampaignRunner(unicast_config, strata_threads)
-            .run(unicast_plan, specs, setup.payload_bytes, horizon, run_seed);
-
-    contrib.unicast.transmissions.add(
-        static_cast<double>(reference.total_transmissions()));
-    contrib.unicast.transmissions_per_device.add(
-        static_cast<double>(reference.total_transmissions()) /
-        static_cast<double>(reference.devices.size()));
-    contrib.unicast.bytes_ratio.add(1.0);
-    contrib.unicast.recovery_transmissions.add(
-        static_cast<double>(reference.recovery_transmissions));
-    contrib.unicast.unreceived_devices.add(static_cast<double>(
-        reference.devices.size() - reference.received_count()));
-    contrib.unicast.mean_connected_seconds.add(mean_connected_ms(reference) / 1000.0);
-    contrib.unicast.mean_light_sleep_seconds.add(mean_light_sleep_ms(reference) /
-                                                 1000.0);
-    contrib.unicast.completion_p99_ms.add(completion_p99_ms(reference));
-    contrib.unicast.redelivery_bytes.add(
-        static_cast<double>(reference.redelivery_bytes));
-    contrib.unicast.stranded_devices.add(static_cast<double>(reference.stranded));
-
-    for (std::size_t m = 0; m < setup.mechanisms.size(); ++m) {
-        const auto mechanism = make_mechanism(setup.mechanisms[m]);
-        sim::RandomStream plan_rng = rng_factory.stream(mechanism->name(), run);
-        const CampaignConfig mech_config = campaign_config(m + 1);
-        const MulticastPlan plan = mechanism->plan(specs, mech_config, plan_rng);
-        const CampaignResult result =
-            CampaignRunner(mech_config, strata_threads)
-                .run(plan, specs, setup.payload_bytes, horizon, run_seed);
-
-        const RelativeUptime rel = relative_uptime(result, reference);
-        const BandwidthComparison bw = bandwidth_comparison(result, reference);
-
-        MechanismStats& out = contrib.mechanisms[m];
-        out.kind = setup.mechanisms[m];
-        out.light_sleep_increase.add(rel.light_sleep_increase);
-        out.connected_increase.add(rel.connected_increase);
-        out.transmissions.add(static_cast<double>(result.total_transmissions()));
-        out.transmissions_per_device.add(bw.transmissions_per_device);
-        out.bytes_ratio.add(bw.bytes_on_air_ratio);
-        out.recovery_transmissions.add(
-            static_cast<double>(result.recovery_transmissions));
-        out.unreceived_devices.add(static_cast<double>(
-            result.devices.size() - result.received_count()));
-        out.mean_connected_seconds.add(mean_connected_ms(result) / 1000.0);
-        out.mean_light_sleep_seconds.add(mean_light_sleep_ms(result) / 1000.0);
-        out.completion_p99_ms.add(completion_p99_ms(result));
-        out.redelivery_bytes.add(static_cast<double>(result.redelivery_bytes));
-        out.stranded_devices.add(static_cast<double>(result.stranded));
-    }
-    return contrib;
-}
-
-/// Checkpoint slot blob of one run: the unicast + per-mechanism summaries
-/// plus — when a collector is attached — the sinks this run filled, so a
-/// resume restores both the aggregates and the telemetry artifacts.
-std::vector<std::uint8_t> encode_contribution(const ComparisonSetup& setup,
-                                              std::size_t run,
-                                              const RunContribution& contrib) {
-    snapshot::Writer w;
-    snapshot::put_mechanism_stats(w, contrib.unicast);
-    w.put_u64(contrib.mechanisms.size());
-    for (const MechanismStats& m : contrib.mechanisms) {
-        snapshot::put_mechanism_stats(w, m);
-    }
-    w.put_u8(setup.telemetry != nullptr ? 1 : 0);
-    if (setup.telemetry != nullptr) {
-        for (std::size_t c = 0; c < setup.mechanisms.size() + 1; ++c) {
-            snapshot::put_sink(w, *setup.telemetry->sink(run, 0, c));
-        }
-    }
-    return w.take();
-}
-
-/// Inverse of encode_contribution; also restores the run's collector
-/// sinks.  Runs inside the sweep worker that owns this run's slots, so
-/// the sink writes stay single-writer.
-RunContribution decode_contribution(const ComparisonSetup& setup, std::size_t run,
-                                    const std::vector<std::uint8_t>& blob) {
-    snapshot::Reader r(blob,
-                       "checkpoint slot (run " + std::to_string(run) + ")");
-    RunContribution contrib;
-    contrib.unicast = snapshot::take_mechanism_stats(r);
-    const std::uint64_t mechanism_count = r.take_u64();
-    if (mechanism_count != setup.mechanisms.size()) {
-        throw snapshot::SnapshotError(
-            "checkpoint slot (run " + std::to_string(run) + "): " +
-            std::to_string(mechanism_count) + " mechanisms in snapshot, setup has " +
-            std::to_string(setup.mechanisms.size()));
-    }
-    contrib.mechanisms.reserve(setup.mechanisms.size());
-    for (std::size_t m = 0; m < setup.mechanisms.size(); ++m) {
-        contrib.mechanisms.push_back(snapshot::take_mechanism_stats(r));
-    }
-    const bool had_telemetry = r.take_u8() != 0;
-    if (had_telemetry != (setup.telemetry != nullptr)) {
-        throw snapshot::SnapshotError(
-            "checkpoint slot (run " + std::to_string(run) +
-            "): telemetry attachment differs from the checkpointed run");
-    }
-    if (setup.telemetry != nullptr) {
-        for (std::size_t c = 0; c < setup.mechanisms.size() + 1; ++c) {
-            snapshot::restore_sink(r, *setup.telemetry->sink(run, 0, c));
-        }
-    }
-    r.expect_end();
-    return contrib;
-}
-
-}  // namespace
 
 SharedPopulations generate_comparison_populations(
     const traffic::PopulationProfile& profile, std::size_t device_count,
@@ -217,59 +45,6 @@ SharedPopulations generate_comparison_populations(
         populations->class_indices.push_back(std::move(classes));
     }
     return populations;
-}
-
-ComparisonOutcome run_comparison(const ComparisonSetup& setup) {
-    if (setup.runs == 0 || setup.device_count == 0) {
-        throw std::invalid_argument("run_comparison: empty setup");
-    }
-    if (setup.populations) {
-        // Provenance must match the setup: a set generated for another
-        // seed/profile/size would silently break reproducibility.
-        if (setup.populations->base_seed != setup.base_seed ||
-            setup.populations->device_count != setup.device_count ||
-            setup.populations->profile_name != setup.profile.name) {
-            throw std::invalid_argument(
-                "run_comparison: shared populations were generated for a "
-                "different (profile, device_count, base_seed)");
-        }
-        if (setup.populations->runs.size() < setup.runs) {
-            throw std::invalid_argument(
-                "run_comparison: shared populations cover fewer runs than setup.runs");
-        }
-    }
-
-    ComparisonOutcome outcome;
-    outcome.mechanisms.resize(setup.mechanisms.size());
-    for (std::size_t m = 0; m < setup.mechanisms.size(); ++m) {
-        outcome.mechanisms[m].kind = setup.mechanisms[m];
-    }
-    outcome.unicast.kind = MechanismKind::unicast;
-
-    const std::vector<RunContribution> contributions = sweep_indexed(
-        setup.runs, setup.threads, [&setup](std::size_t run) {
-            snapshot::CheckpointContext* const checkpoint = setup.checkpoint;
-            if (checkpoint == nullptr) return comparison_run(setup, run);
-            if (const std::vector<std::uint8_t>* blob = checkpoint->restored(run)) {
-                return decode_contribution(setup, run, *blob);
-            }
-            // Once the stop budget fired, remaining tasks return a dummy:
-            // the pending CheckpointStop unwinds the sweep before any
-            // contribution is reduced.
-            if (checkpoint->stopping()) return RunContribution{};
-            RunContribution contrib = comparison_run(setup, run);
-            checkpoint->complete_slot(run, encode_contribution(setup, run, contrib),
-                                      contrib.horizon_ms);
-            return contrib;
-        });
-
-    for (const RunContribution& contrib : contributions) {
-        outcome.unicast.merge(contrib.unicast);
-        for (std::size_t m = 0; m < setup.mechanisms.size(); ++m) {
-            outcome.mechanisms[m].merge(contrib.mechanisms[m]);
-        }
-    }
-    return outcome;
 }
 
 std::vector<TransmissionSweepPoint> drsc_transmission_sweep(

@@ -1,6 +1,7 @@
-// Multi-run experiment driver: repeats campaigns across seeds and
-// aggregates the paper's metrics.  Every benchmark binary is a thin shell
-// around these helpers.
+// Experiment building blocks shared by the campaign engine
+// (multicell::run_deployment, which also runs every single-cell scenario as
+// a 1-cell deployment) and the bench shells: shared per-run populations,
+// the per-mechanism aggregate bundle, and the Fig. 7 planning fast path.
 //
 // Runs fan out over the sweep engine (core/sweep.hpp): every run derives
 // its RNG streams from the base seed and its run index alone, and the
@@ -19,20 +20,12 @@
 #include "stats/summary.hpp"
 #include "traffic/population.hpp"
 
-namespace nbmg::telemetry {
-class Collector;
-}  // namespace nbmg::telemetry
-
-namespace nbmg::snapshot {
-class CheckpointContext;
-}  // namespace nbmg::snapshot
-
 namespace nbmg::core {
 
 /// Per-run device populations generated once and shared across every
 /// mechanism and every sweep point that uses the same (profile,
 /// device_count, base_seed).  The generating parameters travel with the
-/// specs so run_comparison can reject a set generated for a different
+/// specs so run_deployment can reject a set generated for a different
 /// setup instead of silently producing non-reproducible aggregates.
 struct ComparisonPopulations {
     std::string profile_name;
@@ -41,58 +34,18 @@ struct ComparisonPopulations {
     std::vector<std::vector<nbiot::UeSpec>> runs;  // index: runs[run]
     /// Per-device profile class (parallel to `runs`): class_indices[run][d]
     /// is the index into PopulationProfile::classes that generated device d.
-    /// run_comparison ignores it; the multicell deployment layer feeds it to
-    /// class-affinity assignment policies.
+    /// The deployment engine feeds it to class-affinity assignment policies.
     std::vector<std::vector<std::uint32_t>> class_indices;
 };
 using SharedPopulations = std::shared_ptr<const ComparisonPopulations>;
 
-/// Precomputes the populations run_comparison would generate for runs
-/// 0..runs-1, using the identical RNG stream derivation
-/// (stream("population", run) from base_seed) — aggregates computed from a
-/// shared set are bit-identical to regenerating per call.
+/// Generates the populations of runs 0..runs-1, one stream("population",
+/// run) from base_seed per run — the same derivation whether a shell shares
+/// the set across sweep points or run_deployment generates it itself, so
+/// aggregates are bit-identical either way.
 [[nodiscard]] SharedPopulations generate_comparison_populations(
     const traffic::PopulationProfile& profile, std::size_t device_count,
     std::size_t runs, std::uint64_t base_seed);
-
-/// Engine-level setup of the single-cell comparison.  Deprecated as a
-/// front door: new callers should describe the workload declaratively with
-/// scenario::ScenarioSpec and call scenario::run_scenario, which converts
-/// through scenario::to_comparison_setup (the only adapter) and reaches
-/// run_comparison with bit-identical aggregates.  Kept because it is the
-/// struct the engine itself consumes and out-of-tree callers may hold.
-struct ComparisonSetup {
-    traffic::PopulationProfile profile;
-    std::size_t device_count = 500;
-    std::int64_t payload_bytes = 100 * 1024;
-    CampaignConfig config{};
-    std::size_t runs = 100;
-    std::uint64_t base_seed = 42;
-    /// Worker threads for the run sweep; 0 = one per hardware thread.
-    /// Results do not depend on this value.
-    std::size_t threads = 0;
-    std::vector<MechanismKind> mechanisms{MechanismKind::dr_sc, MechanismKind::da_sc,
-                                          MechanismKind::dr_si};
-    /// Optional: precomputed per-run populations (see
-    /// generate_comparison_populations).  Must have been generated for
-    /// this profile, device_count and base_seed with at least `runs`
-    /// entries; when null, each run generates its own population.
-    SharedPopulations populations;
-    /// Optional telemetry collector (telemetry/collector.hpp); not owned,
-    /// null = telemetry disabled.  Must be sized for at least `runs` runs,
-    /// 1 cell and mechanisms.size() + 1 campaigns (slot 0 = unicast).
-    /// Campaigns write disjoint pre-allocated slots, so attaching a
-    /// collector changes no aggregate and no RNG draw.
-    telemetry::Collector* telemetry = nullptr;
-    /// Optional checkpoint context (snapshot/checkpoint.hpp); not owned,
-    /// null = checkpointing disabled.  Runs listed as completed in the
-    /// context are restored from their snapshot blobs (including their
-    /// telemetry sinks) instead of re-executing; freshly computed runs are
-    /// recorded back.  Attaching a context changes no aggregate and no RNG
-    /// draw — every restored blob is the bit-exact outcome the run would
-    /// have produced.
-    snapshot::CheckpointContext* checkpoint = nullptr;
-};
 
 /// Aggregated results of one mechanism across runs.
 struct MechanismStats {
@@ -113,15 +66,6 @@ struct MechanismStats {
     /// Field-wise stats::Summary::merge; `other.kind` must match.
     void merge(const MechanismStats& other) noexcept;
 };
-
-struct ComparisonOutcome {
-    std::vector<MechanismStats> mechanisms;  // same order as setup.mechanisms
-    MechanismStats unicast;                  // the reference's absolute stats
-};
-
-/// Runs `setup.mechanisms` (plus the unicast reference) `setup.runs` times
-/// on fresh populations and aggregates the relative metrics run by run.
-[[nodiscard]] ComparisonOutcome run_comparison(const ComparisonSetup& setup);
 
 /// Fig. 7 fast path: DR-SC is planned (not executed) because the figure
 /// only needs the transmission count.  Returns per-run transmission totals.

@@ -1,7 +1,7 @@
 // Derived metrics: the paper's relative-uptime comparison (mechanism vs
 // unicast reference) and aggregate accessors used by benches and tests —
-// plus the shared report surface the scenario layer renders both engines'
-// aggregates through.
+// plus the shared report surface the scenario layer renders every
+// scenario's aggregates through.
 #pragma once
 
 #include <span>

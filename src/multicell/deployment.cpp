@@ -17,8 +17,8 @@ namespace {
 /// Raw totals of one executed campaign on one cell in one run.  Cell
 /// totals are summed (in cell order) into fleet totals before any ratio is
 /// formed, so fleet aggregates are genuine fleet-level numbers rather than
-/// means of per-cell ratios — and with one cell they reduce to exactly the
-/// values run_comparison computes.
+/// means of per-cell ratios — and with one cell they are exactly that
+/// cell's campaign totals.
 struct CellRunTotals {
     std::size_t devices = 0;
     std::size_t transmissions = 0;
@@ -161,8 +161,8 @@ struct CellRunOutcome {
 CellRunOutcome run_cell(const DeploymentSetup& setup,
                         std::span<const nbiot::UeSpec> specs,
                         const core::CampaignConfig& config,
-                        std::uint64_t cell_root, std::size_t run,
-                        std::size_t cell) {
+                        std::uint64_t cell_root, std::size_t strata_threads,
+                        std::size_t run, std::size_t cell) {
     CellRunOutcome out;
     out.devices = specs.size();
     out.mechanisms.resize(setup.mechanisms.size());
@@ -178,9 +178,8 @@ CellRunOutcome run_cell(const DeploymentSetup& setup,
         return cfg;
     };
 
-    // Identical structure (and, for one cell, identical streams) to
-    // run_comparison's per-run body: one horizon and one execution seed
-    // shared by every mechanism of this cell's run.
+    // One horizon and one execution seed shared by every mechanism of this
+    // cell's run.
     const sim::RngFactory rng_factory(cell_root);
     const core::UnicastBaseline unicast;
     const nbiot::SimTime horizon =
@@ -200,7 +199,7 @@ CellRunOutcome run_cell(const DeploymentSetup& setup,
         unicast.plan(specs, unicast_config, unicast_rng);
     {
         const core::CampaignResult result =
-            core::CampaignRunner(unicast_config)
+            core::CampaignRunner(unicast_config, strata_threads)
                 .run(unicast_plan, specs, setup.payload_bytes, horizon, run_seed);
         out.unicast = totals_from(result);
         if (outage_here) {
@@ -215,7 +214,7 @@ CellRunOutcome run_cell(const DeploymentSetup& setup,
         const core::CampaignConfig mech_config = campaign_config(m + 1);
         const core::MulticastPlan plan = mechanism->plan(specs, mech_config, plan_rng);
         const core::CampaignResult result =
-            core::CampaignRunner(mech_config)
+            core::CampaignRunner(mech_config, strata_threads)
                 .run(plan, specs, setup.payload_bytes, horizon, run_seed);
         out.mechanisms[m] = totals_from(result);
         if (outage_here) {
@@ -316,8 +315,8 @@ CellRunOutcome decode_cell_outcome(const DeploymentSetup& setup, std::size_t run
     return out;
 }
 
-/// The unicast reference's per-run samples, exactly as comparison_run adds
-/// them (no relative-increase samples for the reference itself).
+/// The unicast reference's per-run samples (no relative-increase samples
+/// for the reference itself).
 void add_unicast_samples(DeploymentMechanismStats& out, const CellRunTotals& u) {
     const double n = static_cast<double>(u.devices);
     core::MechanismStats& s = out.stats;
@@ -334,9 +333,9 @@ void add_unicast_samples(DeploymentMechanismStats& out, const CellRunTotals& u) 
     out.bytes_on_air.add(static_cast<double>(u.bytes_on_air));
 }
 
-/// A mechanism's per-run samples against the same-scope unicast reference,
-/// with run_comparison's formulas (relative_uptime / bandwidth_comparison
-/// applied to the summed totals, including their zero-baseline guards).
+/// A mechanism's per-run samples against the same-scope unicast reference:
+/// the relative_uptime / bandwidth_comparison formulas applied to the summed
+/// totals, including their zero-baseline guards.
 void add_mechanism_samples(DeploymentMechanismStats& out, const CellRunTotals& m,
                            const CellRunTotals& u) {
     const double n = static_cast<double>(m.devices);
@@ -371,10 +370,11 @@ void add_rach_sample(DeploymentMechanismStats& fleet, DeploymentMechanismStats& 
     across_cells.add(rate);
 }
 
-/// Merges a per-run contribution, field-wise, exactly as run_comparison
-/// merges its per-run single-sample summaries (the merge path rounds
-/// differently from adding samples directly; bit-identity with the
-/// single-cell driver requires reproducing it).
+/// Merges a per-run contribution field-wise.  Each run's samples go into a
+/// fresh summary that is then merged, rather than added to the aggregate
+/// directly: the two paths round differently, and the pinned goldens
+/// (tests/scenario/scenario_golden_test.cpp) were recorded on the merge
+/// path.
 void merge_contribution(DeploymentMechanismStats& into,
                         const DeploymentMechanismStats& contrib) {
     into.stats.merge(contrib.stats);
@@ -475,7 +475,11 @@ DeploymentResult run_deployment(const DeploymentSetup& setup) {
         });
 
     // Phase 2 — every (run, cell) campaign is an independent event loop;
-    // fan the whole grid across the pool.
+    // fan the whole grid across the pool.  The pool either fans grid tasks
+    // or, when the grid is a single task, that task's strata — never both,
+    // so the thread budget is not oversubscribed.
+    const std::size_t strata_threads =
+        setup.runs * cells == 1 ? setup.threads : 1;
     const std::vector<CellRunOutcome> outcomes = core::sweep_indexed(
         setup.runs * cells, setup.threads, [&](std::size_t slot) {
             const std::size_t run = slot / cells;
@@ -495,7 +499,7 @@ DeploymentResult run_deployment(const DeploymentSetup& setup) {
                 setup, shards[run].cell_specs[cell], cell_configs[cell],
                 cell_seed_root(setup.base_seed, cells,
                                static_cast<std::uint32_t>(cell)),
-                run, cell);
+                strata_threads, run, cell);
             if (checkpoint != nullptr) {
                 checkpoint->complete_slot(
                     slot, encode_cell_outcome(setup, run, cell, out),

@@ -1,20 +1,20 @@
-// City-scale deployment driver: shards one firmware campaign's fleet
-// across N independent cells and fans the per-cell plan+campaign event
-// loops over the sweep worker pool.
+// The campaign engine: shards one firmware campaign's fleet across N
+// independent cells and fans the per-cell plan+campaign event loops over
+// the sweep worker pool.  A single-cell scenario is a 1-cell deployment;
+// scenario::run_scenario runs every spec through here.
 //
-// Per run, the fleet population is generated once (the same
-// "population"-stream derivation run_comparison uses), assigned to cells by
-// a deterministic policy, and every cell plans (DR-SC/DA-SC/DR-SI over its
-// own camped devices) and executes its campaign as an independent event
-// loop.  Per-cell results are merged in (run, cell) order into fleet-wide
-// and per-cell aggregates, so every number is bit-identical for any
-// --threads.
+// Per run, the fleet population is generated once (stream("population",
+// run) from the base seed, see core::generate_comparison_populations),
+// assigned to cells by a deterministic policy, and every cell plans
+// (DR-SC/DA-SC/DR-SI over its own camped devices) and executes its campaign
+// as an independent event loop.  Per-cell results are merged in (run, cell)
+// order into fleet-wide and per-cell aggregates, so every number is
+// bit-identical for any --threads.
 //
-// Determinism contract: a 1-cell deployment reproduces the single-cell
-// run_comparison aggregates bit for bit — the cell's RNG root degenerates
-// to the base seed, the whole fleet camps on cell 0 under every policy, and
-// the fleet-wide reduction applies run_comparison's formulas to the same
-// campaign results (tests/multicell/deployment_test.cpp pins this).
+// Single-cell contract: with one cell the RNG root is the base seed itself
+// and the whole fleet camps on cell 0 under every policy, so a 1-cell
+// deployment is the paper's one-eNB experiment.  Its aggregates are pinned
+// bit for bit by tests/scenario/scenario_golden_test.cpp.
 #pragma once
 
 #include <cstdint>
@@ -27,15 +27,21 @@
 #include "multicell/topology.hpp"
 #include "stats/histogram.hpp"
 
+namespace nbmg::telemetry {
+class Collector;
+}  // namespace nbmg::telemetry
+
+namespace nbmg::snapshot {
+class CheckpointContext;
+}  // namespace nbmg::snapshot
+
 namespace nbmg::multicell {
 
-/// Engine-level setup of the multicell deployment.  Deprecated as a front
-/// door: new callers should describe the workload declaratively with
-/// scenario::ScenarioSpec (topology engaged) and call
+/// Engine-level setup of a deployment.  Callers should describe the
+/// workload declaratively with scenario::ScenarioSpec and call
 /// scenario::run_scenario, which converts through
 /// scenario::to_deployment_setup (the only adapter) and reaches
-/// run_deployment with bit-identical aggregates.  Kept because it is the
-/// struct the engine itself consumes and out-of-tree callers may hold.
+/// run_deployment with bit-identical aggregates.
 struct DeploymentSetup {
     traffic::PopulationProfile profile;
     /// Fleet-wide device count, before sharding.
@@ -44,8 +50,10 @@ struct DeploymentSetup {
     core::CampaignConfig config{};
     std::size_t runs = 20;
     std::uint64_t base_seed = 42;
-    /// Worker threads for the runs x cells fan-out; 0 = one per hardware
-    /// thread.  Results do not depend on this value.
+    /// Worker threads for the runs x cells fan-out — or, when that grid is
+    /// a single task (runs * cells == 1), for the task's paging-frame
+    /// strata; 0 = one per hardware thread.  Results do not depend on this
+    /// value.
     std::size_t threads = 0;
     std::vector<core::MechanismKind> mechanisms{
         core::MechanismKind::dr_sc, core::MechanismKind::da_sc,
@@ -84,8 +92,7 @@ struct DeploymentSetup {
 /// Fleet- or cell-level aggregates of one mechanism, plus deployment-only
 /// extensions the single-cell MechanismStats does not track.
 struct DeploymentMechanismStats {
-    /// Same per-run sample definitions as run_comparison (ratios against
-    /// the same-scope unicast reference).
+    /// Per-run samples, ratios against the same-scope unicast reference.
     core::MechanismStats stats;
     /// Absolute bytes on the air interface per run (fleet/cell total).
     stats::Summary bytes_on_air;
@@ -117,7 +124,7 @@ struct CellRunSpan {
 
 struct DeploymentResult {
     /// Fleet-wide aggregates: per run, cell totals are summed in cell order
-    /// and run through run_comparison's ratio formulas.
+    /// before the ratios against the fleet's unicast reference are formed.
     DeploymentMechanismStats unicast;
     std::vector<DeploymentMechanismStats> mechanisms;  // setup.mechanisms order
     std::vector<CellAggregates> cells;                 // topology order
@@ -145,8 +152,8 @@ struct DeploymentResult {
 [[nodiscard]] DeploymentResult run_deployment(const DeploymentSetup& setup);
 
 /// The RNG root of one cell: the base seed itself for a 1-cell deployment
-/// (the single-cell determinism contract above), an independent derived
-/// root per cell otherwise.
+/// (the single-cell contract above), an independent derived root per cell
+/// otherwise.
 [[nodiscard]] std::uint64_t cell_seed_root(std::uint64_t base_seed,
                                            std::size_t cell_count,
                                            std::uint32_t cell) noexcept;

@@ -216,10 +216,11 @@ inline void reject_flags(int argc, char** argv,
 }
 
 
-/// Guard for shells wired to the single-cell engine (figure shells, the
-/// plan-level examples): a multicell scenario would either abort in
-/// ScenarioResult::comparison() or be silently ignored, so reject it up
-/// front with a usage error naming the binary.
+/// Guard for shells that reproduce the paper's single-eNB setting (figure
+/// shells, the plan-level examples).  They plan on the whole population or
+/// label their tables as one cell, so a multicell scenario would run but
+/// be silently misreported (or its topology ignored); reject it up front
+/// with a usage error naming the binary.
 inline const ScenarioSpec& require_single_cell(const ScenarioSpec& spec,
                                                const char* binary) {
     if (spec.is_multicell()) {

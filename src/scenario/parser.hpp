@@ -17,7 +17,7 @@
 // trace_out, metrics_out, timeline_out, checkpoint.out,
 // checkpoint.every_ms, checkpoint.stop_after, checkpoint.resume.
 // The multicell keys (topology, hotspot_exponent, assignment) require
-// `cells`; `cells` alone engages the multicell engine on a uniform grid.
+// `cells`; `cells` alone engages a uniform multicell grid.
 // The telemetry output keys require the matching collection mode:
 // trace_out/timeline_out need telemetry = trace or full, metrics_out
 // needs telemetry = metrics or full, telemetry.bucket_ms needs any

@@ -57,7 +57,7 @@ std::uint64_t spec_fingerprint(const ScenarioSpec& spec) {
     try {
         text = normalized.to_file_text();
     } catch (const std::invalid_argument& error) {
-        // A custom topology / unregistered profile has no file form, so
+        // An unregistered profile or deep config has no file form, so
         // there is nothing stable to fingerprint (or to resume against).
         throw ScenarioError(
             std::string("checkpointing requires a file-expressible "
@@ -73,31 +73,6 @@ std::uint64_t spec_fingerprint(const ScenarioSpec& spec) {
 }
 
 }  // namespace
-
-const core::MechanismStats& ScenarioResult::unicast_stats() const noexcept {
-    if (const auto* comparison_outcome =
-            std::get_if<core::ComparisonOutcome>(&outcome)) {
-        return comparison_outcome->unicast;
-    }
-    return std::get<multicell::DeploymentResult>(outcome).unicast.stats;
-}
-
-const core::MechanismStats& ScenarioResult::mechanism_stats(
-    std::size_t index) const {
-    if (const auto* comparison_outcome =
-            std::get_if<core::ComparisonOutcome>(&outcome)) {
-        return comparison_outcome->mechanisms.at(index);
-    }
-    return std::get<multicell::DeploymentResult>(outcome).mechanisms.at(index).stats;
-}
-
-std::size_t ScenarioResult::mechanism_count() const noexcept {
-    if (const auto* comparison_outcome =
-            std::get_if<core::ComparisonOutcome>(&outcome)) {
-        return comparison_outcome->mechanisms.size();
-    }
-    return std::get<multicell::DeploymentResult>(outcome).mechanisms.size();
-}
 
 stats::Table ScenarioResult::summary_table() const {
     std::vector<const core::MechanismStats*> mechanisms;
@@ -165,12 +140,12 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
 
     // The checkpoint context (if any) is shared by every sweep worker; the
-    // engines consult it at (run, cell) task boundaries.
+    // engine consults it at (run, cell) task boundaries.
     std::optional<snapshot::CheckpointContext> checkpoint;
     if (spec.checkpoint.enabled()) {
         snapshot::CheckpointHeader header;
         header.fingerprint = spec_fingerprint(spec);
-        header.engine = spec.is_multicell() ? 1 : 0;
+        header.engine = 1;
         header.runs = spec.runs;
         header.cells = spec.cell_count();
         header.campaigns = spec.mechanisms.size() + 1;
@@ -181,23 +156,16 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
         }
     }
 
-    if (spec.is_multicell()) {
-        multicell::DeploymentSetup setup = to_deployment_setup(spec);
-        if (collector) setup.telemetry = &*collector;
-        if (checkpoint) setup.checkpoint = &*checkpoint;
-        if (spec.coordinator) {
-            multicell::CoordinatedResult coordinated =
-                multicell::run_coordinated(setup, *spec.coordinator);
-            result.coordination = std::move(coordinated.coordination);
-            result.outcome = std::move(coordinated.deployment);
-        } else {
-            result.outcome = multicell::run_deployment(setup);
-        }
+    multicell::DeploymentSetup setup = to_deployment_setup(spec);
+    if (collector) setup.telemetry = &*collector;
+    if (checkpoint) setup.checkpoint = &*checkpoint;
+    if (spec.coordinator) {
+        multicell::CoordinatedResult coordinated =
+            multicell::run_coordinated(setup, *spec.coordinator);
+        result.coordination = std::move(coordinated.coordination);
+        result.outcome = std::move(coordinated.deployment);
     } else {
-        core::ComparisonSetup setup = to_comparison_setup(spec);
-        if (collector) setup.telemetry = &*collector;
-        if (checkpoint) setup.checkpoint = &*checkpoint;
-        result.outcome = core::run_comparison(setup);
+        result.outcome = multicell::run_deployment(setup);
     }
     // Leave a complete snapshot behind on normal completion, so a
     // time-sharded driver may treat "finished" and "stopped" uniformly.

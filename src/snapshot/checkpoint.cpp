@@ -10,7 +10,7 @@ constexpr std::uint32_t kSectionHeader = 1;
 constexpr std::uint32_t kSectionSlots = 2;
 
 std::string engine_name(std::uint8_t engine) {
-    return engine == 0 ? "single-cell comparison" : "multicell deployment";
+    return engine == 0 ? "retired single-cell comparison" : "deployment";
 }
 
 }  // namespace
@@ -56,8 +56,7 @@ void CheckpointContext::load(const std::string& path) {
 
     Reader slots_reader(slots_section->payload, path + " (slot-table section)");
     const std::uint64_t count = slots_reader.take_u64();
-    const std::uint64_t total_slots =
-        header_.engine == 0 ? header_.runs : header_.runs * header_.cells;
+    const std::uint64_t total_slots = header_.runs * header_.cells;
     if (count > total_slots) {
         throw SnapshotError(path + ": slot table lists " + std::to_string(count) +
                             " completed tasks, grid only has " +

@@ -54,7 +54,12 @@ private:
 /// with a diagnostic instead of silently resuming into different results.
 struct CheckpointHeader {
     std::uint64_t fingerprint = 0;
-    std::uint8_t engine = 0;  // 0 = single-cell comparison, 1 = deployment
+    /// 1 = the (run, cell) deployment grid, which run_scenario always
+    /// writes — single-cell scenarios included.  0 marks a file from the
+    /// retired per-run single-cell engine, whose slot blobs this build
+    /// cannot decode; run_scenario's load() refuses it as an engine shape
+    /// mismatch.
+    std::uint8_t engine = 0;
     std::uint64_t runs = 0;
     std::uint64_t cells = 0;
     std::uint64_t campaigns = 0;  // mechanisms + 1 (slot 0 = unicast)

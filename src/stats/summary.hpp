@@ -29,9 +29,9 @@ public:
     /// the determinism/golden tests assert ("aggregates are bit-identical").
     [[nodiscard]] bool operator==(const Summary& other) const noexcept = default;
 
-    /// The complete accumulator state, exposed losslessly for serialization
-    /// (the public statistics API divides/normalizes, so it cannot round-trip
-    /// the Welford state bit-exactly).
+    /// The complete accumulator state, exposed losslessly for bit-exact
+    /// golden pins (the public statistics API divides/normalizes, so it
+    /// cannot reproduce the Welford state bit-exactly).
     struct State {
         std::uint64_t count = 0;
         double mean = 0.0;
@@ -42,18 +42,6 @@ public:
 
     [[nodiscard]] State state() const noexcept {
         return State{count_, mean_, m2_, min_, max_};
-    }
-
-    /// Rebuilds a summary from a state() snapshot, bit-identical to the
-    /// original accumulator.
-    [[nodiscard]] static Summary from_state(const State& s) noexcept {
-        Summary out;
-        out.count_ = s.count;
-        out.mean_ = s.mean;
-        out.m2_ = s.m2;
-        out.min_ = s.min;
-        out.max_ = s.max;
-        return out;
     }
 
 private:

@@ -10,6 +10,7 @@
 
 #include "core/experiment.hpp"
 #include "core/sweep.hpp"
+#include "multicell/deployment.hpp"
 #include "traffic/firmware.hpp"
 #include "traffic/population.hpp"
 
@@ -102,7 +103,8 @@ void expect_identical(const MechanismStats& a, const MechanismStats& b) {
 }
 
 TEST(SweepDeterminismTest, RunComparisonIsBitIdenticalAcrossThreadCounts) {
-    ComparisonSetup setup;
+    // The single-cell comparison: a 1-cell deployment.
+    multicell::DeploymentSetup setup;
     setup.profile = traffic::massive_iot_city();
     setup.device_count = 40;
     setup.payload_bytes = traffic::firmware_100kb().bytes;
@@ -110,14 +112,14 @@ TEST(SweepDeterminismTest, RunComparisonIsBitIdenticalAcrossThreadCounts) {
     setup.base_seed = 99;
 
     setup.threads = 1;
-    const ComparisonOutcome serial = run_comparison(setup);
+    const multicell::DeploymentResult serial = multicell::run_deployment(setup);
     for (const std::size_t threads : {2u, 8u}) {
         setup.threads = threads;
-        const ComparisonOutcome parallel = run_comparison(setup);
+        const multicell::DeploymentResult parallel = multicell::run_deployment(setup);
         ASSERT_EQ(parallel.mechanisms.size(), serial.mechanisms.size());
-        expect_identical(parallel.unicast, serial.unicast);
+        expect_identical(parallel.unicast.stats, serial.unicast.stats);
         for (std::size_t m = 0; m < serial.mechanisms.size(); ++m) {
-            expect_identical(parallel.mechanisms[m], serial.mechanisms[m]);
+            expect_identical(parallel.mechanisms[m].stats, serial.mechanisms[m].stats);
         }
     }
 }

@@ -61,12 +61,11 @@ ScenarioSpec faulted_city_spec(std::size_t strata) {
 }
 
 void expect_comparison_equal(const ScenarioResult& a, const ScenarioResult& b) {
-    test_support::expect_mechanism_stats_equal(a.comparison().unicast,
-                                               b.comparison().unicast);
-    ASSERT_EQ(a.comparison().mechanisms.size(), b.comparison().mechanisms.size());
-    for (std::size_t m = 0; m < a.comparison().mechanisms.size(); ++m) {
-        test_support::expect_mechanism_stats_equal(a.comparison().mechanisms[m],
-                                                   b.comparison().mechanisms[m]);
+    test_support::expect_mechanism_stats_equal(a.unicast_stats(), b.unicast_stats());
+    ASSERT_EQ(a.mechanism_count(), b.mechanism_count());
+    for (std::size_t m = 0; m < a.mechanism_count(); ++m) {
+        test_support::expect_mechanism_stats_equal(a.mechanism_stats(m),
+                                                   b.mechanism_stats(m));
     }
 }
 
@@ -138,8 +137,8 @@ TEST(FaultDeterminismTest, ChurnOnActuallyDiffersFromOff) {
     const ScenarioResult ron = run_scenario(on);
     // Departed devices sleep through paging occasions they would have
     // monitored, so the light-sleep aggregate cannot coincide.
-    EXPECT_FALSE(ron.comparison().mechanisms[0].mean_light_sleep_seconds ==
-                 roff.comparison().mechanisms[0].mean_light_sleep_seconds);
+    EXPECT_FALSE(ron.mechanism_stats(0).mean_light_sleep_seconds ==
+                 roff.mechanism_stats(0).mean_light_sleep_seconds);
     EXPECT_EQ(roff.telemetry->trace_jsonl.find("device_leave"),
               std::string::npos);
 }

@@ -8,6 +8,7 @@
 #include "core/experiment.hpp"
 #include "core/planners.hpp"
 #include "core/report.hpp"
+#include "multicell/deployment.hpp"
 #include "traffic/firmware.hpp"
 #include "traffic/population.hpp"
 
@@ -69,17 +70,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweepTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
 
 TEST(ConnectedOrderingInExpectation, DaScLongestOnAverage) {
-    ComparisonSetup setup;
+    multicell::DeploymentSetup setup;
     setup.profile = traffic::massive_iot_city();
     setup.device_count = 200;
     setup.payload_bytes = traffic::firmware_100kb().bytes;
     setup.runs = 6;
     setup.base_seed = 1234;
-    const ComparisonOutcome outcome = run_comparison(setup);
+    const multicell::DeploymentResult outcome = multicell::run_deployment(setup);
     double da_sc = 0.0;
     double dr_si = 0.0;
     double dr_sc = 0.0;
-    for (const auto& s : outcome.mechanisms) {
+    for (const auto& mechanism : outcome.mechanisms) {
+        const MechanismStats& s = mechanism.stats;
         if (s.kind == MechanismKind::da_sc) da_sc = s.connected_increase.mean();
         if (s.kind == MechanismKind::dr_si) dr_si = s.connected_increase.mean();
         if (s.kind == MechanismKind::dr_sc) dr_sc = s.connected_increase.mean();
@@ -144,24 +146,24 @@ TEST(TiMonotonicityTest, TransmissionsDecreaseWithTi) {
 }
 
 TEST(ExperimentDriverTest, RunComparisonAggregatesAllMechanisms) {
-    ComparisonSetup setup;
+    multicell::DeploymentSetup setup;
     setup.profile = traffic::massive_iot_city();
     setup.device_count = 50;
     setup.payload_bytes = traffic::firmware_100kb().bytes;
     setup.runs = 3;
-    const ComparisonOutcome outcome = run_comparison(setup);
+    const multicell::DeploymentResult outcome = multicell::run_deployment(setup);
     ASSERT_EQ(outcome.mechanisms.size(), 3u);
-    for (const auto& s : outcome.mechanisms) {
-        EXPECT_EQ(s.transmissions.count(), 3u);
-        EXPECT_EQ(s.unreceived_devices.max(), 0.0);
+    for (const auto& mechanism : outcome.mechanisms) {
+        EXPECT_EQ(mechanism.stats.transmissions.count(), 3u);
+        EXPECT_EQ(mechanism.stats.unreceived_devices.max(), 0.0);
     }
-    EXPECT_EQ(outcome.unicast.transmissions.mean(), 50.0);
+    EXPECT_EQ(outcome.unicast.stats.transmissions.mean(), 50.0);
 }
 
 TEST(ExperimentDriverTest, RejectsEmptySetups) {
-    ComparisonSetup setup;
+    multicell::DeploymentSetup setup;
     setup.runs = 0;
-    EXPECT_THROW((void)run_comparison(setup), std::invalid_argument);
+    EXPECT_THROW((void)multicell::run_deployment(setup), std::invalid_argument);
     EXPECT_THROW((void)drsc_transmission_point(traffic::massive_iot_city(), 0,
                                                CampaignConfig{}, 1, 1),
                  std::invalid_argument);

@@ -107,7 +107,8 @@ TEST(RegistrySmokeTest, EveryShippedPresetRunsATenDeviceSmoke) {
             EXPECT_GE(result.mechanism_stats(m).completion_p99_ms.mean(), 0.0);
         }
         EXPECT_GT(result.unicast_stats().transmissions.mean(), 0.0);
-        // The common report surface renders for both engines.
+        // The common report surface renders for single-cell and multicell
+        // presets alike.
         const stats::Table table = result.summary_table();
         EXPECT_EQ(table.rows(), spec.mechanisms.size() + 1);
         EXPECT_FALSE(result.summary_csv().empty());

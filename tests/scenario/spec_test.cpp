@@ -1,7 +1,6 @@
 // ScenarioSpec: builder semantics, validation, scenario-file serialization
-// round trips, and the adapter round trips over the deprecated engine
-// setups (ComparisonSetup/DeploymentSetup) — one conversion function each,
-// and nothing may be lost on the way there and back.
+// round trips, and the to_deployment_setup adapter — nothing may be lost on
+// the way to the engine.
 #include "scenario/spec.hpp"
 
 #include <gtest/gtest.h>
@@ -63,13 +62,6 @@ TEST(ScenarioSpecTest, WithCellsResetsToUniformButCellCountPreservesKind) {
     EXPECT_EQ(spec.topology->kind, TopologySpec::Kind::hotspot);
     EXPECT_EQ(spec.topology->hotspot_exponent, 1.5);
     EXPECT_EQ(spec.cell_count(), 32u);
-    // A count change invalidates a custom per-cell grid.
-    TopologySpec custom;
-    custom.cells = 4;
-    custom.custom = multicell::CellTopology::hotspot(4, 2.0);
-    spec = small_spec().with_topology(custom).with_cell_count(8);
-    EXPECT_FALSE(spec.topology->custom.has_value());
-    EXPECT_EQ(spec.cell_count(), 8u);
 }
 
 TEST(ScenarioSpecTest, FileTextKeepsFullDoublePrecision) {
@@ -270,17 +262,10 @@ TEST(ScenarioSpecTest, ValidationRejectsNonFiniteKnobs) {
     EXPECT_THROW(spec.validate(), std::invalid_argument);
 }
 
-TEST(ScenarioSpecTest, FileTextRejectsUnregisteredProfileAndCustomTopology) {
+TEST(ScenarioSpecTest, FileTextRejectsUnregisteredProfileAndStrandedCoordinator) {
     ScenarioSpec custom_profile = small_spec();
     custom_profile.profile.name = "bespoke";
     EXPECT_THROW((void)custom_profile.to_file_text(), std::invalid_argument);
-
-    ScenarioSpec custom_topology = small_spec();
-    TopologySpec topo;
-    topo.cells = 4;
-    topo.custom = multicell::CellTopology::hotspot(4, 2.0);
-    custom_topology.with_topology(topo);
-    EXPECT_THROW((void)custom_topology.to_file_text(), std::invalid_argument);
 
     // A coordinator stranded without a grid must not silently vanish on
     // the way to a file.
@@ -301,77 +286,34 @@ TEST(ScenarioSpecTest, EveryShippedPresetSerializesAndReparses) {
 }
 
 TEST(ScenarioAdapterTest, ComparisonSetupRoundTrips) {
-    core::ComparisonSetup setup;
-    setup.profile = traffic::meter_heavy();
-    setup.device_count = 123;
-    setup.payload_bytes = traffic::firmware_1mb().bytes;
-    setup.runs = 9;
-    setup.base_seed = 17;
-    setup.threads = 3;
-    setup.mechanisms = {core::MechanismKind::dr_si, core::MechanismKind::sc_ptm};
-    setup.config.inactivity_timer = nbiot::SimTime{25'000};
-    setup.populations = core::generate_comparison_populations(
-        setup.profile, setup.device_count, setup.runs, setup.base_seed);
+    // A single-cell comparison setup survives the trip through a scenario
+    // file and the to_deployment_setup adapter field by field.
+    ScenarioSpec spec = small_spec();
+    spec.profile = traffic::meter_heavy();
+    spec.with_devices(123)
+        .with_payload_bytes(traffic::firmware_1mb().bytes)
+        .with_runs(9)
+        .with_seed(17)
+        .with_threads(3)
+        .with_mechanisms({core::MechanismKind::dr_si, core::MechanismKind::sc_ptm})
+        .with_inactivity_timer_ms(25'000);
 
-    const ScenarioSpec spec = from_setup(setup);
-    EXPECT_FALSE(spec.is_multicell());
-    const core::ComparisonSetup back = to_comparison_setup(spec);
+    const ScenarioSpec parsed = parse_scenario_text(spec.to_file_text(), "unit");
+    EXPECT_FALSE(parsed.is_multicell());
+    const multicell::DeploymentSetup back = to_deployment_setup(parsed);
+    EXPECT_EQ(back.profile.name, spec.profile.name);
+    EXPECT_EQ(back.device_count, spec.device_count);
+    EXPECT_EQ(back.payload_bytes, spec.payload_bytes);
+    EXPECT_EQ(back.runs, spec.runs);
+    EXPECT_EQ(back.base_seed, spec.base_seed);
+    EXPECT_EQ(back.threads, spec.threads);
+    EXPECT_EQ(back.mechanisms, spec.mechanisms);
+    EXPECT_EQ(back.config.inactivity_timer, spec.config.inactivity_timer);
 
-    EXPECT_EQ(back.profile.name, setup.profile.name);
-    EXPECT_EQ(back.device_count, setup.device_count);
-    EXPECT_EQ(back.payload_bytes, setup.payload_bytes);
-    EXPECT_EQ(back.runs, setup.runs);
-    EXPECT_EQ(back.base_seed, setup.base_seed);
-    EXPECT_EQ(back.threads, setup.threads);
-    EXPECT_EQ(back.mechanisms, setup.mechanisms);
-    EXPECT_EQ(back.config.inactivity_timer, setup.config.inactivity_timer);
-    EXPECT_EQ(back.populations.get(), setup.populations.get());
-}
-
-TEST(ScenarioAdapterTest, DeploymentSetupRoundTripsIncludingCustomTopology) {
-    multicell::DeploymentSetup setup;
-    setup.profile = traffic::alarm_heavy();
-    setup.device_count = 456;
-    setup.runs = 4;
-    setup.base_seed = 99;
-    setup.assignment = multicell::AssignmentPolicy::hotspot;
-    setup.topology = multicell::CellTopology::hotspot(6, 1.5);
-    setup.topology.cells[2].max_page_records_override = 2;
-
-    const ScenarioSpec spec = from_setup(setup);
-    ASSERT_TRUE(spec.is_multicell());
-    // The skewed grid is not declaratively expressible; it must travel
-    // verbatim through the custom slot.
-    ASSERT_FALSE(spec.topology->file_expressible());
-    const multicell::DeploymentSetup back = to_deployment_setup(spec);
-
-    EXPECT_EQ(back.profile.name, setup.profile.name);
-    EXPECT_EQ(back.device_count, setup.device_count);
-    EXPECT_EQ(back.runs, setup.runs);
-    EXPECT_EQ(back.base_seed, setup.base_seed);
-    EXPECT_EQ(back.assignment, setup.assignment);
-    ASSERT_EQ(back.topology.cell_count(), setup.topology.cell_count());
-    for (std::size_t c = 0; c < setup.topology.cell_count(); ++c) {
-        EXPECT_EQ(back.topology.cells[c].id, setup.topology.cells[c].id);
-        EXPECT_EQ(back.topology.cells[c].weight, setup.topology.cells[c].weight);
-        EXPECT_EQ(back.topology.cells[c].max_page_records_override,
-                  setup.topology.cells[c].max_page_records_override);
-    }
-}
-
-TEST(ScenarioAdapterTest, UniformDeploymentSetupStaysDeclarative) {
-    multicell::DeploymentSetup setup;
-    setup.topology = multicell::CellTopology::uniform(16);
-    const ScenarioSpec spec = from_setup(setup);
-    ASSERT_TRUE(spec.is_multicell());
-    EXPECT_TRUE(spec.topology->file_expressible());
-    EXPECT_EQ(spec.topology->cells, 16u);
-    EXPECT_EQ(to_deployment_setup(spec).topology.cell_count(), 16u);
-}
-
-TEST(ScenarioAdapterTest, MulticellSpecRefusesComparisonSetup) {
-    EXPECT_THROW((void)to_comparison_setup(small_spec().with_cells(4)),
-                 std::invalid_argument);
+    // Shared populations are not file-borne; the adapter passes them through.
+    spec.with_populations(core::generate_comparison_populations(
+        spec.profile, spec.device_count, spec.runs, spec.base_seed));
+    EXPECT_EQ(to_deployment_setup(spec).populations.get(), spec.populations.get());
 }
 
 TEST(ScenarioAdapterTest, SingleCellSpecMapsToOneCellDeployment) {

@@ -3,8 +3,9 @@
 // mid-flight (checkpoint.stop_after) and resumed at a different
 // --threads produces aggregates bit-identical to the uninterrupted run
 // and byte-identical telemetry artifacts.  Also pins resume-from-final
-// (every task restored, none recomputed) and that a checkpointed run is
-// bit-identical to a checkpoint-off run.
+// (every task restored, none recomputed), that a checkpointed run is
+// bit-identical to a checkpoint-off run, and that a snapshot written by the
+// retired single-cell engine is refused rather than mis-decoded.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "scenario/run.hpp"
 #include "sim/random.hpp"
 #include "snapshot/checkpoint.hpp"
+#include "snapshot/format.hpp"
 #include "tests/support/campaign_equal.hpp"
 #include "tests/support/deployment_equal.hpp"
 
@@ -48,26 +50,12 @@ ScenarioSpec random_spec(sim::RandomStream& rng, bool multicell,
 }
 
 std::uint64_t total_tasks(const ScenarioSpec& spec) {
-    return spec.is_multicell()
-               ? static_cast<std::uint64_t>(spec.runs) * spec.cell_count()
-               : static_cast<std::uint64_t>(spec.runs);
+    return static_cast<std::uint64_t>(spec.runs) * spec.cell_count();
 }
 
 void expect_results_equal(const ScenarioResult& a, const ScenarioResult& b) {
     ASSERT_EQ(a.is_multicell(), b.is_multicell());
-    if (a.is_multicell()) {
-        test_support::expect_deployment_results_equal(a.deployment(),
-                                                      b.deployment());
-    } else {
-        test_support::expect_mechanism_stats_equal(a.comparison().unicast,
-                                                   b.comparison().unicast);
-        ASSERT_EQ(a.comparison().mechanisms.size(),
-                  b.comparison().mechanisms.size());
-        for (std::size_t m = 0; m < a.comparison().mechanisms.size(); ++m) {
-            test_support::expect_mechanism_stats_equal(
-                a.comparison().mechanisms[m], b.comparison().mechanisms[m]);
-        }
-    }
+    test_support::expect_deployment_results_equal(a.deployment(), b.deployment());
     ASSERT_TRUE(a.telemetry.has_value());
     ASSERT_TRUE(b.telemetry.has_value());
     EXPECT_EQ(a.telemetry->trace_jsonl, b.telemetry->trace_jsonl);
@@ -139,6 +127,50 @@ TEST_P(CheckpointResumeProperty, InterruptedResumeMatchesUninterrupted) {
 
         std::remove(snap.c_str());
     }
+}
+
+TEST(CheckpointCompatibilityTest, RetiredSingleCellEngineSnapshotRefused) {
+    // Before single-cell scenarios ran as 1-cell deployments, their
+    // snapshots said engine = 0 and carried per-run slot blobs in another
+    // layout.  Forge one from a genuine snapshot of the same scenario (so
+    // the fingerprint matches) and check the resume is refused up front,
+    // before any slot is decoded.
+    ScenarioSpec spec;
+    spec.name = "checkpoint-compat";
+    spec.device_count = 30;
+    spec.runs = 2;
+    spec.payload_bytes = 20 * 1024;
+    spec.with_threads(1);
+    ASSERT_FALSE(spec.is_multicell());
+    const std::string snap = testing::TempDir() + "checkpoint_compat.bin";
+    std::remove(snap.c_str());
+
+    ScenarioSpec writer = spec;
+    (void)run_scenario(writer.with_checkpoint_out(snap));
+
+    std::vector<snapshot::Section> sections = snapshot::read_snapshot_file(snap);
+    bool forged = false;
+    for (snapshot::Section& section : sections) {
+        if (section.id != 1) continue;  // the header section
+        ASSERT_GT(section.payload.size(), 8u);
+        EXPECT_EQ(section.payload[8], 1u) << "run_scenario writes engine = 1";
+        section.payload[8] = 0;  // u64 fingerprint, then the engine byte
+        forged = true;
+    }
+    ASSERT_TRUE(forged);
+    snapshot::write_snapshot_file(snap, sections);
+
+    ScenarioSpec resumed = spec;
+    resumed.with_resume(snap);
+    try {
+        (void)run_scenario(resumed);
+        FAIL() << "expected SnapshotError";
+    } catch (const snapshot::SnapshotError& error) {
+        EXPECT_NE(std::string(error.what()).find("engine shape mismatch"),
+                  std::string::npos)
+            << error.what();
+    }
+    std::remove(snap.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -15,6 +15,7 @@
 #include "telemetry/collector.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/sink.hpp"
+#include "tests/support/deployment_equal.hpp"
 
 namespace nbmg {
 namespace {
@@ -214,24 +215,39 @@ TEST(ScenarioTelemetryTest, MetricsCollectionNeverPerturbsResults) {
 
 TEST(ScenarioTelemetryTest, ArtifactsBitIdenticalAcrossThreadsAndStrata) {
     // Strata are semantic (they add stratum tags and span records), so the
-    // golden is per strata count; thread count must never matter.
-    for (const std::size_t strata : {std::size_t{1}, std::size_t{8}}) {
+    // golden is per strata count; thread count must never matter.  The
+    // runs = 1 shape is a single-task grid, whose worker pool goes to the
+    // task's strata instead of to the runs.
+    struct Shape {
+        std::size_t strata;
+        std::size_t runs;
+        std::size_t threads;
+    };
+    for (const Shape shape : {Shape{1, 2, 8}, Shape{8, 2, 8}, Shape{4, 1, 4}}) {
         const auto run_with = [&](std::size_t threads) {
             return scenario::run_scenario(small_spec()
+                                              .with_runs(shape.runs)
                                               .with_telemetry_modes(true, true)
-                                              .with_strata(strata)
+                                              .with_strata(shape.strata)
                                               .with_threads(threads));
         };
         const scenario::ScenarioResult one = run_with(1);
-        const scenario::ScenarioResult eight = run_with(8);
-        ASSERT_TRUE(one.telemetry && eight.telemetry);
-        EXPECT_EQ(one.telemetry->trace_jsonl, eight.telemetry->trace_jsonl)
-            << "strata=" << strata;
-        EXPECT_EQ(one.telemetry->metrics->to_csv(),
-                  eight.telemetry->metrics->to_csv())
-            << "strata=" << strata;
-        EXPECT_EQ(one.summary_csv(), eight.summary_csv())
-            << "strata=" << strata;
+        const scenario::ScenarioResult many = run_with(shape.threads);
+        const std::string where = "strata=" + std::to_string(shape.strata) +
+                                  " runs=" + std::to_string(shape.runs);
+        ASSERT_TRUE(one.telemetry && many.telemetry);
+        EXPECT_EQ(one.telemetry->trace_jsonl, many.telemetry->trace_jsonl) << where;
+        EXPECT_EQ(one.telemetry->metrics->to_csv(), many.telemetry->metrics->to_csv())
+            << where;
+        EXPECT_EQ(one.summary_csv(), many.summary_csv()) << where;
+        SCOPED_TRACE(where);
+        test_support::expect_mechanism_stats_equal(one.unicast_stats(),
+                                                   many.unicast_stats());
+        ASSERT_EQ(one.mechanism_count(), many.mechanism_count());
+        for (std::size_t m = 0; m < one.mechanism_count(); ++m) {
+            test_support::expect_mechanism_stats_equal(one.mechanism_stats(m),
+                                                       many.mechanism_stats(m));
+        }
     }
 }
 
