@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
 # Records the kernel microbenchmarks as google-benchmark JSON at the repo
-# root — the perf trajectory file future PRs regress against.
+# root — the perf trajectory file future changes regress against.
 #
-#   $ ci/bench.sh                             # single run -> BENCH_pr8.json
-#   $ ci/bench.sh --repeat 3                  # best-of-3 (recommended)
-#   $ ci/bench.sh --repeat 3 BENCH_pr8.json   # explicit output name
+#   $ ci/bench.sh --repeat 3 BENCH_new.json   # best-of-3 (recommended)
+#   $ ci/bench.sh OUT.json                    # single run
+#
+# The output name is required (no default), so a run never overwrites a
+# committed BENCH_*.json baseline by accident; omitting it is a usage
+# error (exit 2).
 #
 # --repeat N runs the suite N times and merges with ci/bench_merge.py:
 # the committed file carries the per-benchmark MIN (best-of-N) as
 # real_time/cpu_time plus the median as real_time_median/cpu_time_median.
-# Rationale: this box is single-core shared tenancy, and one-off drift of
+# Rationale: the recording machines are shared-tenancy VMs (the file's
+# `context.num_cpus` says how many CPUs the run saw), and one-off drift of
 # up to ±15% on a single reading is routine (the "1.16x" event-queue
 # reading in the PR 5 recording re-measured at ~1.1x) — best-of-N keeps
 # such drift out of the committed baseline, and the min/median pair lets
@@ -39,7 +43,7 @@ while [[ $# -gt 0 ]]; do
       shift
       ;;
     -*)
-      echo "error: unknown flag '$1' (usage: ci/bench.sh [--repeat N] [OUT.json])" >&2
+      echo "error: unknown flag '$1' (usage: ci/bench.sh [--repeat N] OUT.json)" >&2
       exit 2
       ;;
     *)
@@ -49,7 +53,10 @@ while [[ $# -gt 0 ]]; do
       ;;
   esac
 done
-out="${out:-BENCH_pr8.json}"
+if [[ -z "${out}" ]]; then
+  echo "error: no output file named (usage: ci/bench.sh [--repeat N] OUT.json)" >&2
+  exit 2
+fi
 if ! [[ "${repeat}" =~ ^[1-9][0-9]*$ ]]; then
   echo "error: --repeat must be a positive integer, got '${repeat}'" >&2
   exit 2

@@ -64,7 +64,8 @@ def main(argv: list[str]) -> int:
         "nbmg_mode": f"best-of-{len(runs)} (ci/bench.sh --repeat)",
         "nbmg_noise_band":
             "ratios within ±15% of the previous BENCH_prN.json are noise "
-            "on this box (single-core CI, shared tenancy); only flag a "
+            "(shared-tenancy VMs; num_cpus below is what the run saw); "
+            "only flag a "
             "regression when BOTH the best-of-N real_time and "
             "real_time_median sit outside the band",
         "nbmg_fields":

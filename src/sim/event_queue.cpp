@@ -68,7 +68,23 @@ EventId EventQueue::schedule_at(SimTime at, Handler handler) {
     if (!handler) {
         throw std::invalid_argument("EventQueue::schedule_at: empty handler");
     }
-    const std::uint64_t seq = next_seq_++;
+    return place(at, next_seq_++, std::move(handler));
+}
+
+EventId EventQueue::schedule_reserved(SimTime at, std::uint64_t seq, Handler handler) {
+    if (at < now_) {
+        throw std::logic_error("EventQueue::schedule_reserved: time in the past");
+    }
+    if (seq == 0 || seq >= next_seq_) {
+        throw std::logic_error("EventQueue::schedule_reserved: seq was never reserved");
+    }
+    if (!handler) {
+        throw std::invalid_argument("EventQueue::schedule_reserved: empty handler");
+    }
+    return place(at, seq, std::move(handler));
+}
+
+EventId EventQueue::place(SimTime at, std::uint64_t seq, Handler handler) {
     const std::uint32_t index = acquire_slot();
     Slot& slot = slots_[index];
     slot.handler = std::move(handler);
@@ -220,6 +236,7 @@ bool EventQueue::step() {
     Handler handler = std::move(slots_[top.slot].handler);
     release_slot(top.slot);
     now_ = top.at;
+    current_seq_ = top.seq;
     ++executed_;
     handler();
     return true;
@@ -239,7 +256,10 @@ std::size_t EventQueue::run_until(SimTime until) {
         step();
         ++n;
     }
-    if (now_ < until) now_ = until;
+    if (now_ <= until) {
+        now_ = until;
+        current_seq_ = next_seq_ - 1;  // everything up to `until` has run
+    }
     return n;
 }
 

@@ -19,6 +19,16 @@
 // the heap on the same (time, seq) total order, so firing order is
 // exactly what the equivalent sequence of schedule_at calls would
 // produce — at one stable sort per block instead of N heap sifts.
+//
+// Reserved sequence numbers let a client keep *virtual* events — work it
+// tracks itself instead of as queue events (the NPRACH channel's
+// collision retries, nbiot/rach.hpp) — on the queue's total order:
+// reserve_seqs(n) takes n seqs exactly as n schedule_at calls made now
+// would, and schedule_reserved() later materializes one of them as a real
+// event at its reserved place in the (time, seq) order (the channel's
+// window "opener").  Each reserved seq backs at most one scheduled event,
+// so the stale-entry check (slot seq == entry seq) stays sound.
+// current_seq() tells a client where in that order it is executing.
 #pragma once
 
 #include <cassert>
@@ -107,6 +117,32 @@ public:
     /// order.  Any item before now() is a programming error.  Consumes
     /// the batch; returns the number of events scheduled.
     std::size_t schedule_batch(Batch&& batch);
+
+    /// Takes `n` sequence numbers exactly as `n` events scheduled now
+    /// would, without scheduling anything; returns the first of the block
+    /// [first, first + n).  A caller that keeps virtual events gives each
+    /// one of these seqs, so it ties against real events at equal times
+    /// exactly as the events themselves would have.
+    std::uint64_t reserve_seqs(std::size_t n) noexcept {
+        const std::uint64_t first = next_seq_;
+        next_seq_ += n;
+        return first;
+    }
+
+    /// Schedules `handler` at `at` under `seq`, a number previously taken
+    /// by reserve_seqs(): it fires where an event scheduled at the moment
+    /// of reservation would have.  The caller backs each reserved seq with
+    /// at most one event (cancelled events included).  A time before
+    /// now() or a seq never handed out is a programming error.
+    EventId schedule_reserved(SimTime at, std::uint64_t seq, Handler handler);
+
+    /// Sequence number of the event executing now.  Between events it is
+    /// the seq of the last event run, except after run_until(): that has
+    /// run every event up to its bound, so it reports the highest seq
+    /// handed out so far.  0 before anything ran.  Together with now() it
+    /// places a caller in the (time, seq) firing order: everything at an
+    /// earlier time, or at now() with a seq up to this one, has fired.
+    [[nodiscard]] std::uint64_t current_seq() const noexcept { return current_seq_; }
 
     /// Cancels a pending event in O(1).  Returns false if the event already
     /// fired, was already cancelled, or never existed.
@@ -209,6 +245,9 @@ private:
     static constexpr int kSourceHeap = -1;
 
     [[nodiscard]] std::uint32_t acquire_slot();
+    /// Fills a fresh slot for `handler` under `seq` and pushes its heap
+    /// entry at `at`.
+    EventId place(SimTime at, std::uint64_t seq, Handler handler);
     void release_slot(std::uint32_t index) noexcept;
 
     // Pops entries whose slot was cancelled/reused off the top; returns
@@ -227,6 +266,7 @@ private:
     std::vector<std::uint32_t> free_slots_;
     SimTime now_{0};
     std::uint64_t next_seq_ = 1;
+    std::uint64_t current_seq_ = 0;
     std::uint64_t executed_ = 0;
     std::size_t pending_ = 0;
 };

@@ -129,6 +129,29 @@ TEST_F(RachTest, EmptyCallbackRejected) {
 TEST_F(RachTest, InvalidConfigRejected) {
     config_.num_preambles = 0;
     EXPECT_THROW(RachChannel(sim_, config_, sim_.stream("rach")), std::invalid_argument);
+
+    // A negative backoff bound used to pass construction and throw from
+    // the first collision's draw; negative timing fields scheduled retries
+    // before the collision.  Both are rejected up front.
+    const auto rejected = [this](auto mutate) {
+        RachConfig config{};
+        mutate(config);
+        EXPECT_FALSE(config.valid());
+        EXPECT_THROW(RachChannel(sim_, config, sim_.stream("rach")), std::invalid_argument);
+    };
+    rejected([](RachConfig& c) { c.backoff_max = SimTime{-1}; });
+    rejected([](RachConfig& c) { c.preamble_duration = SimTime{-1}; });
+    rejected([](RachConfig& c) { c.rar_delay = SimTime{-40}; });
+    rejected([](RachConfig& c) { c.msg3_delay = SimTime{-1}; });
+    rejected([](RachConfig& c) { c.msg4_delay = SimTime{-200}; });
+    rejected([](RachConfig& c) { c.window_period = SimTime{0}; });
+    rejected([](RachConfig& c) { c.max_attempts = 0; });
+
+    // Zero is a legal bound and a legal (instantaneous) attempt.
+    RachConfig zero{};
+    zero.backoff_max = SimTime{0};
+    zero.preamble_duration = zero.rar_delay = zero.msg3_delay = zero.msg4_delay = SimTime{0};
+    EXPECT_TRUE(zero.valid());
 }
 
 TEST_F(RachTest, DeterministicAcrossSeeds) {

@@ -643,6 +643,121 @@ TEST(EventQueueBatchTest, BatchFiringOrderIdenticalToScheduleAtLoop) {
     }
 }
 
+// ------------------------------------------------------ reserved seqs ----
+
+TEST(EventQueueReservedTest, ReservedSeqsTieBreakFifoAgainstOrdinaryEvents) {
+    EventQueue q;
+    std::vector<char> order;
+    q.schedule_at(SimTime{10}, [&] { order.push_back('a'); });   // seq 1
+    const std::uint64_t first = q.reserve_seqs(2);                // seqs 2, 3
+    EXPECT_EQ(first, 2u);
+    q.schedule_at(SimTime{10}, [&] { order.push_back('d'); });   // seq 4
+    // Materialized out of order, the reserved events still fire where
+    // events scheduled at the moment of reservation would have.
+    q.schedule_reserved(SimTime{10}, first + 1, [&] { order.push_back('c'); });
+    q.schedule_reserved(SimTime{10}, first, [&] { order.push_back('b'); });
+    q.schedule_at(SimTime{9}, [&] { order.push_back('0'); });    // seq 5, earlier time
+    q.run_all();
+    EXPECT_EQ(order, (std::vector<char>{'0', 'a', 'b', 'c', 'd'}));
+    EXPECT_EQ(q.reserve_seqs(0), 6u);  // an empty block takes nothing
+    EXPECT_EQ(q.reserve_seqs(1), 6u);
+}
+
+TEST(EventQueueReservedTest, ReservedBlockMatchesScheduleAtNumbering) {
+    // The same history with the middle events scheduled directly and with
+    // their seqs reserved first: identical pending snapshots (seq and time).
+    const auto snapshot = [](bool reserved) {
+        EventQueue q;
+        q.schedule_at(SimTime{5}, [] {});
+        if (reserved) {
+            const std::uint64_t first = q.reserve_seqs(3);
+            q.schedule_at(SimTime{5}, [] {});
+            for (std::uint64_t i = 0; i < 3; ++i) {
+                q.schedule_reserved(SimTime{7}, first + i, [] {});
+            }
+        } else {
+            for (int i = 0; i < 3; ++i) q.schedule_at(SimTime{7}, [] {});
+            q.schedule_at(SimTime{5}, [] {});
+        }
+        std::vector<std::pair<std::int64_t, std::uint64_t>> keys;
+        for (const auto& e : q.pending_events()) keys.emplace_back(e.at.count(), e.seq);
+        std::sort(keys.begin(), keys.end());
+        return keys;
+    };
+    EXPECT_EQ(snapshot(true), snapshot(false));
+}
+
+TEST(EventQueueReservedTest, CancelReservedEvent) {
+    EventQueue q;
+    const std::uint64_t seq = q.reserve_seqs(1);
+    bool ran = false;
+    const EventId id = q.schedule_reserved(SimTime{20}, seq, [&] { ran = true; });
+    EXPECT_EQ(q.pending(), 1u);
+    EXPECT_TRUE(q.cancel(id));
+    EXPECT_FALSE(q.cancel(id));
+    EXPECT_EQ(q.pending(), 0u);
+    q.run_all();
+    EXPECT_FALSE(ran);
+    EXPECT_EQ(q.executed(), 0u);
+}
+
+TEST(EventQueueReservedTest, StaleEntryNeverAliasesSlotReuser) {
+    EventQueue q;
+    // A cancelled reserved event leaves a stale heap entry {20, s, slot};
+    // the slot's next occupant has another seq and must fire only at its
+    // own time, once.
+    const std::uint64_t reserved = q.reserve_seqs(1);
+    const EventId a = q.schedule_reserved(SimTime{20}, reserved, [] { FAIL(); });
+    ASSERT_TRUE(q.cancel(a));
+    std::vector<std::int64_t> fired;
+    const EventId b = q.schedule_at(SimTime{30}, [&] { fired.push_back(q.now().count()); });
+    EXPECT_EQ(b.index, a.index);
+    // And the other way round: a reserved event (seq below the stale
+    // entry's) reusing the slot of a cancelled ordinary event.
+    const std::uint64_t early = q.reserve_seqs(1);
+    const EventId c = q.schedule_at(SimTime{10}, [] { FAIL(); });
+    ASSERT_TRUE(q.cancel(c));
+    const EventId d = q.schedule_reserved(SimTime{40}, early,
+                                          [&] { fired.push_back(q.now().count()); });
+    EXPECT_EQ(d.index, c.index);
+    EXPECT_FALSE(q.cancel(a));
+    EXPECT_FALSE(q.cancel(c));
+    q.run_all();
+    EXPECT_EQ(fired, (std::vector<std::int64_t>{30, 40}));
+    EXPECT_EQ(q.executed(), 2u);
+}
+
+TEST(EventQueueReservedTest, ScheduleReservedRejectsPastTimesAndUnreservedSeqs) {
+    EventQueue q;
+    const std::uint64_t seq = q.reserve_seqs(1);
+    q.schedule_at(SimTime{10}, [] {});
+    q.step();
+    EXPECT_THROW(q.schedule_reserved(SimTime{5}, seq, [] {}), std::logic_error);
+    EXPECT_THROW(q.schedule_reserved(SimTime{10}, 0, [] {}), std::logic_error);
+    EXPECT_THROW(q.schedule_reserved(SimTime{10}, seq + 5, [] {}), std::logic_error);
+    EXPECT_THROW(q.schedule_reserved(SimTime{10}, seq, EventQueue::Handler{}),
+                 std::invalid_argument);
+    EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueueReservedTest, CurrentSeqPlacesCallerInFiringOrder) {
+    EventQueue q;
+    EXPECT_EQ(q.current_seq(), 0u);
+    std::vector<std::uint64_t> seen;
+    q.schedule_at(SimTime{10}, [&] { seen.push_back(q.current_seq()); });  // seq 1
+    const std::uint64_t reserved = q.reserve_seqs(1);                       // seq 2
+    q.schedule_at(SimTime{10}, [&] { seen.push_back(q.current_seq()); });  // seq 3
+    q.schedule_reserved(SimTime{10}, reserved, [&] { seen.push_back(q.current_seq()); });
+    q.schedule_at(SimTime{50}, [] {});                                      // seq 4
+    ASSERT_TRUE(q.step());
+    EXPECT_EQ(q.current_seq(), 1u);  // between events: the last one run
+    q.run_until(SimTime{20});
+    EXPECT_EQ(seen, (std::vector<std::uint64_t>{1, 2, 3}));
+    // run_until ran everything through its bound: every seq handed out.
+    EXPECT_EQ(q.current_seq(), 4u);
+    EXPECT_EQ(q.now(), SimTime{20});
+}
+
 /// The seed implementation, kept verbatim as the ordering reference: a
 /// binary std::priority_queue of {time, seq, std::function} entries with
 /// an unordered_set cancellation path.  The slab queue must reproduce its
